@@ -1,5 +1,6 @@
-//! The parallel sweep engine: a shared-queue job pool with canonical
-//! (index-keyed) result reduction, plus a keyed flow-result cache.
+//! The parallel sweep engine: a metered wrapper over the workspace's
+//! indexed fan-out ([`run_indexed`]) with canonical result reduction,
+//! plus a keyed flow-result cache.
 //!
 //! Characterization sweeps and dataset generation fan the same shape of
 //! work out many times: run the four-stage flow for every point of a
@@ -8,7 +9,7 @@
 //! guarantees:
 //!
 //! 1. **Canonical reduction.** Jobs are numbered up front and results
-//!    land in index-keyed slots, so the reduced output is a function of
+//!    come back in job order, so the reduced output is a function of
 //!    the job list alone — never of thread scheduling. Parallel runs
 //!    are bit-identical to serial runs (`workers = 1`), and when
 //!    several jobs fail, the error reported is the one the serial loop
@@ -23,14 +24,13 @@
 //!    machine (thread partitioning, coherence traffic), so they run per
 //!    sweep point on the cached netlist.
 
-use crossbeam::channel;
 use eda_cloud_flow::{ExecContext, FlowError, Recipe, StageReport, SynthesisTrace, Synthesizer};
 use eda_cloud_netlist::{Aig, AigNode, Netlist};
-use eda_cloud_trace::Metrics;
-use parking_lot::Mutex;
+use eda_cloud_trace::par::run_indexed;
+use eda_cloud_trace::{fnv1a64, Metrics};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Resolve a `workers` knob to a concrete worker count: `0` (the
@@ -44,37 +44,12 @@ pub fn resolve_workers(requested: usize) -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8)
 }
 
-/// Run `f` over every `(index, item)` pair on a pool of `workers`
-/// scoped threads and return the results **in item order**.
-///
-/// Workers pull jobs from a shared queue (fast items steal the slack
-/// left by slow ones) and push `(index, result)` pairs back; the
-/// reducer writes each result into its index's slot, so the output
-/// order — and therefore every downstream artifact — is independent of
-/// completion order. With `workers <= 1` (or one item) the pool is
-/// bypassed entirely and `f` runs on the caller's thread.
-///
-/// A panicking job propagates with its **original payload**: remaining
-/// jobs may or may not run, and the worker's panic resurfaces from the
-/// explicit joins below — the same observable outcome as a panic in a
-/// serial loop (a send-side `expect` must never shadow it).
-// Production sweeps all go through the metered variant; this plain
-// wrapper stays as the pool's minimal contract (and its test surface).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn run_indexed<I, T, F>(workers: usize, items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    run_indexed_metered(workers, items, &Metrics::disabled(), f)
-}
-
 /// [`run_indexed`] plus pool observability: counts jobs, samples each
-/// job's queue wait into a histogram, and reports aggregate worker
-/// occupancy (busy time / pool wall time) as a gauge. All recording
-/// goes through [`Metrics`], which is scheduling-dependent by contract
-/// — nothing here touches the deterministic trace.
+/// job's queue wait (pool start to job start) into a histogram, and
+/// reports aggregate worker occupancy (busy time / (pool wall time ×
+/// workers)) as a gauge. All recording goes through [`Metrics`], which
+/// is scheduling-dependent by contract — nothing here touches the
+/// deterministic trace.
 pub(crate) fn run_indexed_metered<I, T, F>(
     workers: usize,
     items: Vec<I>,
@@ -91,75 +66,28 @@ where
     let workers = workers.max(1).min(n.max(1));
     if workers <= 1 {
         metrics.set_gauge("sweep.worker_occupancy", 1.0);
-        return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
+        return run_indexed(1, items, f);
     }
 
     let pool_start = Instant::now();
-    let (job_tx, job_rx) = channel::unbounded::<(usize, I, Instant)>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, T)>();
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let busy_secs = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                let f = &f;
-                scope.spawn(move |_| {
-                    let mut busy = 0.0f64;
-                    while let Ok((index, item, enqueued)) = job_rx.recv() {
-                        metrics.observe(
-                            "sweep.queue_wait_secs",
-                            enqueued.elapsed().as_secs_f64(),
-                        );
-                        let job_start = Instant::now();
-                        let result = f(index, item);
-                        busy += job_start.elapsed().as_secs_f64();
-                        if result_tx.send((index, result)).is_err() {
-                            break;
-                        }
-                    }
-                    busy
-                })
-            })
-            .collect();
-        // Only the workers' clones keep the channels alive now; when
-        // the queue drains, workers exit and the result stream ends.
-        drop(job_rx);
-        drop(result_tx);
-        for (index, item) in items.into_iter().enumerate() {
-            // A failed send means every worker is gone — one panicked
-            // and the rest drained out behind it. Stop feeding and fall
-            // through to the joins, which re-raise the worker's own
-            // panic; an `expect` here would mask it with a send error.
-            if job_tx.send((index, item, Instant::now())).is_err() {
-                break;
-            }
-        }
-        drop(job_tx);
-        for (index, result) in result_rx.iter() {
-            slots[index] = Some(result);
-        }
-        let mut busy_total = 0.0f64;
-        for handle in handles {
-            match handle.join() {
-                Ok(busy) => busy_total += busy,
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        busy_total
-    })
-    .expect("sweep worker scope");
+    let busy_nanos = AtomicU64::new(0);
+    let results = run_indexed(workers, items, |index, item| {
+        metrics.observe("sweep.queue_wait_secs", pool_start.elapsed().as_secs_f64());
+        let job_start = Instant::now();
+        let result = f(index, item);
+        let busy = u64::try_from(job_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        busy_nanos.fetch_add(busy, Ordering::Relaxed);
+        result
+    });
     let wall = pool_start.elapsed().as_secs_f64();
     if wall > 0.0 {
+        let busy_secs = busy_nanos.into_inner() as f64 * 1e-9;
         metrics.set_gauge(
             "sweep.worker_occupancy",
             (busy_secs / (wall * workers as f64)).clamp(0.0, 1.0),
         );
     }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every job reduced exactly once"))
-        .collect()
+    results
 }
 
 /// Reduce per-job `Result`s canonically: return all successes in order,
@@ -216,6 +144,14 @@ impl FlowCache {
         }
     }
 
+    /// Lock the entries. A poisoned lock is taken over as is: entries
+    /// are inserted whole, so a panic elsewhere cannot leave one half
+    /// written, and a `PoisonError` here must not mask the panic that
+    /// caused it.
+    fn entries(&self) -> MutexGuard<'_, HashMap<FlowKey, Arc<CachedSynthesis>>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Synthesize `aig` under `recipe` for `ctx`, computing the
     /// structural work at most once per [`FlowKey`].
     ///
@@ -241,7 +177,7 @@ impl FlowCache {
             let span = ctx.span.child("synthesis");
             span.counter("instructions", report.counters.instructions);
         };
-        if let Some(entry) = self.entries.lock().get(key).cloned() {
+        if let Some(entry) = self.entries().get(key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             let report = Synthesizer::report_from_trace(&entry.trace, ctx);
             record_span(&report);
@@ -254,12 +190,7 @@ impl FlowCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let (netlist, report, trace) = synthesizer.run_traced(aig, recipe, &ctx.without_span())?;
         let entry = Arc::new(CachedSynthesis { netlist: Arc::new(netlist), trace });
-        let entry = self
-            .entries
-            .lock()
-            .entry(key.clone())
-            .or_insert(entry)
-            .clone();
+        let entry = self.entries().entry(key.clone()).or_insert(entry).clone();
         record_span(&report);
         Ok((entry.netlist.clone(), report))
     }
@@ -283,97 +214,38 @@ impl Default for FlowCache {
     }
 }
 
-/// A structural fingerprint of an AIG (FNV-1a over name, nodes, and
-/// outputs), used as the design component of a [`FlowKey`].
+/// A structural fingerprint of an AIG ([`fnv1a64`] over name, nodes,
+/// and outputs), used as the design component of a [`FlowKey`].
 #[must_use]
 pub fn design_fingerprint(aig: &Aig) -> u64 {
-    fn mix(h: &mut u64, byte: u8) {
-        *h ^= u64::from(byte);
-        *h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    fn mix_u64(h: &mut u64, v: u64) {
-        for byte in v.to_le_bytes() {
-            mix(h, byte);
-        }
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in aig.name().bytes() {
-        mix(&mut h, byte);
-    }
-    mix(&mut h, 0xFF); // name/body separator
+    let mut bytes: Vec<u8> = aig.name().bytes().collect();
+    bytes.push(0xFF); // name/body separator
+    let mut push = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
     for node in aig.nodes() {
         match node {
-            AigNode::Const0 => mix_u64(&mut h, 0),
+            AigNode::Const0 => push(0),
             AigNode::Pi(pos) => {
-                mix_u64(&mut h, 1);
-                mix_u64(&mut h, u64::from(*pos));
+                push(1);
+                push(u64::from(*pos));
             }
             AigNode::And(a, b) => {
-                mix_u64(&mut h, 2);
-                mix_u64(&mut h, u64::from(a.raw()));
-                mix_u64(&mut h, u64::from(b.raw()));
+                push(2);
+                push(u64::from(a.raw()));
+                push(u64::from(b.raw()));
             }
         }
     }
     for (name, lit) in aig.outputs() {
-        for byte in name.bytes() {
-            mix(&mut h, byte);
-        }
-        mix_u64(&mut h, u64::from(lit.raw()));
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.extend_from_slice(&u64::from(lit.raw()).to_le_bytes());
     }
-    h
+    fnv1a64(&bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eda_cloud_netlist::generators;
-
-    #[test]
-    fn run_indexed_preserves_item_order() {
-        let items: Vec<u64> = (0..64).collect();
-        let expected: Vec<u64> = items.iter().map(|v| v * v).collect();
-        for workers in [1, 2, 4, 9] {
-            let got = run_indexed(workers, items.clone(), |i, v| {
-                assert_eq!(i as u64, v);
-                // Stagger completion so out-of-order arrival is real.
-                if v % 3 == 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-                v * v
-            });
-            assert_eq!(got, expected, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn run_indexed_handles_empty_and_single() {
-        let none: Vec<u32> = run_indexed(4, Vec::new(), |_, v: u32| v);
-        assert!(none.is_empty());
-        assert_eq!(run_indexed(4, vec![7u32], |_, v| v + 1), vec![8]);
-    }
-
-    #[test]
-    fn panicking_job_resurfaces_original_payload() {
-        // The pool must re-raise the worker's own panic, not a
-        // send-side "job queue open" expect (the bug this guards).
-        let result = std::panic::catch_unwind(|| {
-            run_indexed(4, (0..64u32).collect(), |_, v| {
-                if v == 5 {
-                    panic!("job 5 exploded");
-                }
-                v
-            })
-        });
-        let payload = result.expect_err("pool must propagate the panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert_eq!(msg, "job 5 exploded");
-    }
 
     #[test]
     fn metered_pool_records_jobs_and_occupancy() {

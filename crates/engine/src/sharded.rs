@@ -23,6 +23,7 @@
 use crate::message::{Envelope, Outbox};
 use crate::time::checked_add_us;
 use crate::{EngineError, EngineFaults, NoEngineFaults};
+use eda_cloud_trace::par::run_indexed;
 use std::sync::Arc;
 
 /// One shard of work for a window: the base region index of the
@@ -133,6 +134,12 @@ impl<S: RegionShard> ShardedSim<S> {
     }
 
     /// Advance every region to `horizon` and collect their outboxes.
+    ///
+    /// Shards are contiguous chunks of regions fanned out over
+    /// `workers` threads. Grouping is invisible in the result because
+    /// regions only read/write their own state this side of the
+    /// barrier, and a failing window reports the first error in shard
+    /// (hence region) order — the one a serial loop would hit first.
     fn advance_window(
         &mut self,
         horizon: u64,
@@ -141,54 +148,27 @@ impl<S: RegionShard> ShardedSim<S> {
     ) -> Result<Vec<Envelope<S::Msg>>, EngineError> {
         let lookahead = self.lookahead_us;
         let chunk = self.regions.len().div_ceil(shard_count);
-        if workers <= 1 {
-            // Serial fast path: same code shape as a one-thread scope.
-            let mut all = Vec::new();
-            for (index, region) in self.regions.iter_mut().enumerate() {
-                let mut outbox = Outbox::new(index as u32, lookahead, self.next_seq[index]);
-                region.advance(horizon, &mut outbox)?;
-                self.next_seq[index] = outbox.next_seq();
-                all.extend(outbox.into_envelopes());
-            }
-            return Ok(all);
-        }
-        // Shards are contiguous chunks of regions; each worker thread
-        // takes shards round-robin. Grouping is invisible in the result
-        // because regions only read/write their own state this side of
-        // the barrier.
-        let shards_iter = self
+        let shards: Vec<ShardChunk<'_, S>> = self
             .regions
             .chunks_mut(chunk)
             .zip(self.next_seq.chunks_mut(chunk))
             .enumerate()
-            .map(|(i, (regions, seqs))| (i * chunk, regions, seqs));
-        let mut groups: Vec<Vec<ShardChunk<'_, S>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (j, shard) in shards_iter.enumerate() {
-            groups[j % workers].push(shard);
-        }
+            .map(|(i, (regions, seqs))| (i * chunk, regions, seqs))
+            .collect();
+        let sent = run_indexed(workers, shards, |_, (base, regions, seqs)| {
+            let mut sent = Vec::new();
+            for (k, region) in regions.iter_mut().enumerate() {
+                let mut outbox = Outbox::new((base + k) as u32, lookahead, seqs[k]);
+                region.advance(horizon, &mut outbox)?;
+                seqs[k] = outbox.next_seq();
+                sent.extend(outbox.into_envelopes());
+            }
+            Ok(sent)
+        });
         let mut all = Vec::new();
-        std::thread::scope(|scope| -> Result<(), EngineError> {
-            let mut handles = Vec::with_capacity(workers);
-            for group in groups {
-                handles.push(scope.spawn(move || -> Result<Vec<Envelope<S::Msg>>, EngineError> {
-                    let mut sent = Vec::new();
-                    for (base, regions, seqs) in group {
-                        for (k, region) in regions.iter_mut().enumerate() {
-                            let mut outbox =
-                                Outbox::new((base + k) as u32, lookahead, seqs[k]);
-                            region.advance(horizon, &mut outbox)?;
-                            seqs[k] = outbox.next_seq();
-                            sent.extend(outbox.into_envelopes());
-                        }
-                    }
-                    Ok(sent)
-                }));
-            }
-            for handle in handles {
-                all.extend(handle.join().expect("shard worker panicked")?);
-            }
-            Ok(())
-        })?;
+        for shard in sent {
+            all.extend(shard?);
+        }
         Ok(all)
     }
 
@@ -323,6 +303,56 @@ mod tests {
         let baseline = run_ring(4, 1, 1);
         for (workers, shards) in [(1, 4), (2, 2), (2, 4), (8, 4), (8, 1)] {
             assert_eq!(run_ring(4, workers, shards), baseline, "workers={workers} shards={shards}");
+        }
+    }
+
+    /// A region that sends once per local event with a fixed latency;
+    /// below the lookahead the send fails, and the latency in the
+    /// resulting `LookaheadViolation` names the failing region.
+    struct Sender {
+        heap: EventHeap<()>,
+        latency_us: u64,
+    }
+
+    impl RegionShard for Sender {
+        type Msg = ();
+
+        fn next_time(&self) -> Option<u64> {
+            self.heap.peek_time()
+        }
+
+        fn advance(&mut self, horizon_us: u64, outbox: &mut Outbox<()>) -> Result<(), EngineError> {
+            while self.heap.peek_time().is_some_and(|t| t < horizon_us) {
+                let (t, ()) = self.heap.pop().expect("peeked");
+                outbox.send(t, 0, self.latency_us, ())?;
+            }
+            Ok(())
+        }
+
+        fn deliver(&mut self, _envelope: Envelope<()>) -> Result<(), EngineError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn reported_error_is_the_first_failing_region_at_any_fan_out() {
+        // Region 0 sends legally; regions 1 and 2 both break the
+        // lookahead in the same window. The serial loop stops at
+        // region 1, so every fan-out must report region 1 as well.
+        let senders = || -> Vec<Sender> {
+            [1_000, 11, 12]
+                .into_iter()
+                .map(|latency_us| {
+                    let mut heap = EventHeap::new();
+                    heap.push(0, ());
+                    Sender { heap, latency_us }
+                })
+                .collect()
+        };
+        let expected = EngineError::LookaheadViolation { latency_us: 11, min_latency_us: 1_000 };
+        for (workers, shards) in [(1, 1), (2, 3), (8, 3)] {
+            let mut sim = ShardedSim::new(senders(), 1_000).expect("valid");
+            assert_eq!(sim.run(workers, shards), Err(expected.clone()), "workers={workers} shards={shards}");
         }
     }
 

@@ -23,6 +23,7 @@
 use crate::{ExecContext, FlowError, Placement, StageKind, StageReport};
 use eda_cloud_netlist::{NetDriver, NetSink, Netlist};
 use eda_cloud_perf::{CounterSet, PerfProbe, StageWork};
+use eda_cloud_trace::par::run_indexed;
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
@@ -223,67 +224,28 @@ impl Router {
             probe.instr(pending.len() as u64);
             // Batched parallel routing round. The region partition is
             // fixed by the simulated machine; how many *host* threads
-            // chew through the buckets is an independent knob
-            // (`ctx.route_workers`): worker `t` takes every
-            // `workers`-th non-empty bucket. Each bucket still routes
-            // against the same committed-usage snapshot and produces
-            // its own delta and counters, and the serial merge below
-            // re-sorts outcomes into canonical bucket-index order — so
-            // results are bit-identical at any worker count.
+            // chew through the non-empty buckets is an independent knob
+            // (`ctx.route_workers`). Each bucket routes against the same
+            // committed-usage snapshot and produces its own delta and
+            // counters, and outcomes come back in bucket-index order
+            // for the serial merge below — so results are bit-identical
+            // at any worker count.
             let background = state.usage.clone();
             let history = state.history.clone();
-            let routed_view = &routed;
-            // One bucket's round output: routed (net index, path) pairs,
-            // its private usage delta, and its probe counters.
-            type BucketOutcome = (Vec<(usize, Vec<u32>)>, GridDelta, CounterSet);
-            let nonempty: Vec<(usize, &Vec<usize>)> = buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| !b.is_empty())
-                .collect();
+            let nonempty: Vec<&Vec<usize>> = buckets.iter().filter(|b| !b.is_empty()).collect();
             let workers = if ctx.route_workers == 0 {
                 nonempty.len()
             } else {
                 ctx.route_workers
-            }
-            .clamp(1, nonempty.len().max(1));
-            let mut results: Vec<(usize, BucketOutcome)> = Vec::new();
-            if !nonempty.is_empty() {
-                crossbeam::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|t| {
-                            let machine = ctx.machine;
-                            let background = &background;
-                            let history = &history;
-                            let nonempty = &nonempty;
-                            scope.spawn(move |_| {
-                                let mut outcomes: Vec<(usize, BucketOutcome)> = Vec::new();
-                                for &(bi, bucket) in nonempty.iter().skip(t).step_by(workers) {
-                                    let mut delta = GridState::with_background(
-                                        grid, capacity, background, history,
-                                    );
-                                    let mut wprobe = PerfProbe::for_machine(&machine);
-                                    let paths: Vec<(usize, Vec<u32>)> = bucket
-                                        .iter()
-                                        .map(|&i| (i, delta.route(routed_view[i].0, &mut wprobe)))
-                                        .collect();
-                                    outcomes
-                                        .push((bi, (paths, delta.into_delta(), wprobe.counters())));
-                                }
-                                outcomes
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        results.extend(h.join().expect("router worker panicked"));
-                    }
-                })
-                .expect("router thread scope");
-            }
-            // Canonical commit order: by bucket index, regardless of
-            // which worker finished first.
-            results.sort_by_key(|&(bi, _)| bi);
-            for (_, (paths, delta, counters)) in results {
+            };
+            let results = run_indexed(workers, nonempty, |_, bucket| {
+                let mut delta = GridState::with_background(grid, capacity, &background, &history);
+                let mut wprobe = PerfProbe::for_machine(&ctx.machine);
+                let paths: Vec<(usize, Vec<u32>)> =
+                    bucket.iter().map(|&i| (i, delta.route(routed[i].0, &mut wprobe))).collect();
+                (paths, delta.into_delta(), wprobe.counters())
+            });
+            for (paths, delta, counters) in results {
                 state.merge_delta(&delta);
                 worker_counters.push(counters);
                 for (i, path) in paths {

@@ -10,6 +10,7 @@
 use crate::ReplayBuffer;
 use eda_cloud_gcn::GraphSample;
 use eda_cloud_serve::ModelSnapshot;
+use eda_cloud_trace::par::run_indexed;
 
 /// Fine-tuning hyperparameters for one retrain cycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,7 +39,7 @@ impl Retrainer {
         buffers: &[ReplayBuffer; 4],
         workers: usize,
     ) -> (ModelSnapshot, [usize; 4]) {
-        let tune_stage = |k: usize| {
+        let tuned = run_indexed(workers.min(4), (0..4).collect(), |_, k: usize| {
             let mut model = base.stage(k).clone();
             let samples: Vec<&GraphSample> = buffers[k].samples_canonical();
             model.fine_tune(
@@ -48,34 +49,8 @@ impl Retrainer {
                 self.seed ^ ((k as u64) << 8),
             );
             (model, samples.len())
-        };
-        let mut tuned: Vec<Option<(eda_cloud_gcn::RuntimePredictor, usize)>> =
-            vec![None, None, None, None];
-        let w = workers.clamp(1, 4);
-        if w == 1 {
-            for (k, slot) in tuned.iter_mut().enumerate() {
-                *slot = Some(tune_stage(k));
-            }
-        } else {
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..w)
-                    .map(|t| {
-                        let tune_stage = &tune_stage;
-                        scope.spawn(move || {
-                            (t..4).step_by(w).map(|k| (k, tune_stage(k))).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("retrain worker"))
-                    .collect::<Vec<_>>()
-            });
-            for (k, result) in results {
-                tuned[k] = Some(result);
-            }
-        }
-        let mut tuned = tuned.into_iter().map(|t| t.expect("all stages tuned"));
+        });
+        let mut tuned = tuned.into_iter();
         let (s, sn) = tuned.next().expect("stage");
         let (p, pn) = tuned.next().expect("stage");
         let (r, rn) = tuned.next().expect("stage");

@@ -17,24 +17,13 @@
 
 use crate::ServeError;
 use eda_cloud_gcn::{GraphBatch, ModelConfig, QuantizedPredictor, RuntimePredictor};
+use eda_cloud_trace::fnv1a64;
+use eda_cloud_trace::par::run_indexed;
 use std::collections::BTreeMap;
 
 /// Stage names in flow order; index-aligned with every `[T; 4]` that
 /// crosses this crate's API (predictions, plans, service stages).
 pub const STAGE_NAMES: [&str; 4] = ["synthesis", "placement", "routing", "sta"];
-
-/// FNV-1a 64-bit hash — the snapshot-text checksum primitive. Each
-/// byte step `h' = (h ^ b) * p` multiplies by an odd prime, which is a
-/// bijection on `u64` per input byte, so any single-byte substitution
-/// (in particular any single-bit flip) changes the digest.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Split the next `\n`-terminated line off `rest`, tracking byte
 /// position (unlike `str::lines`) so the checksum footer can hash the
@@ -238,37 +227,7 @@ fn fan_out_stages<F>(run_stage: &F, len: usize, workers: usize) -> Vec<[[f64; 4]
 where
     F: Fn(usize) -> Vec<[f64; 4]> + Sync,
 {
-    let mut per_stage: Vec<Option<Vec<[f64; 4]>>> = vec![None, None, None, None];
-    let w = workers.clamp(1, 4);
-    if w == 1 {
-        for (k, slot) in per_stage.iter_mut().enumerate() {
-            *slot = Some(run_stage(k));
-        }
-    } else {
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..w)
-                .map(|t| {
-                    scope.spawn(move || {
-                        (t..4)
-                            .step_by(w)
-                            .map(|k| (k, run_stage(k)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("stage worker"))
-                .collect::<Vec<_>>()
-        });
-        for (k, secs) in results {
-            per_stage[k] = Some(secs);
-        }
-    }
-    let per_stage: Vec<Vec<[f64; 4]>> = per_stage
-        .into_iter()
-        .map(|s| s.expect("all stages ran"))
-        .collect();
+    let per_stage = run_indexed(workers.min(4), (0..4).collect(), |_, k| run_stage(k));
     (0..len)
         .map(|i| {
             [

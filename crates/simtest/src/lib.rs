@@ -42,5 +42,9 @@ pub use error::SimtestError;
 pub use harness::{run_simtest, run_simtest_traced, SimtestConfig, SimtestRun};
 pub use hooks::PlanFaults;
 pub use plan::{FaultEvent, FaultPlan, PPM};
-pub use report::{fnv1a64, EnginePhase, SimtestReport};
+pub use report::{EnginePhase, SimtestReport};
 pub use shrink::{shrink_plan, shrink_plan_with};
+
+/// Digest primitive that pins each sub-report's full JSON in a
+/// [`SimtestReport`] without embedding kilobytes of it.
+pub use eda_cloud_trace::fnv1a64;

@@ -12,18 +12,6 @@ use eda_cloud_fleet::FleetCounters;
 use eda_cloud_lifecycle::LifecycleCounters;
 use eda_cloud_serve::ServeCounters;
 
-/// FNV-1a 64-bit over raw bytes; used to pin each sub-report's full
-/// JSON without embedding kilobytes of it.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Escape a string for embedding in a JSON string literal.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -214,13 +202,6 @@ impl SimtestReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
-    }
 
     #[test]
     fn escape_handles_quotes_backslashes_and_control_bytes() {

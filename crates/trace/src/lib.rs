@@ -32,6 +32,11 @@
 //! call on a disabled [`Tracer`]/[`Span`]/[`Metrics`] is one branch on
 //! `None`.
 //!
+//! The crate also holds the two primitives every other crate shares
+//! without wanting a dependency for them: [`par::run_indexed`], the one
+//! indexed fan-out over scoped threads, and [`fnv1a64`], the one byte
+//! hash.
+//!
 //! # Examples
 //!
 //! ```
@@ -53,9 +58,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod hash;
 mod json;
 mod metrics;
+pub mod par;
 mod span;
 
+pub use hash::fnv1a64;
 pub use metrics::{Histogram, Metrics};
 pub use span::{Span, SpanRecord, Trace, Tracer};
